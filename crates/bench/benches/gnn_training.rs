@@ -11,15 +11,10 @@
 //!   one batched pass over the same samples, normalised per sample;
 //! * **engine GNN-backend sweep advise** — a launch-sweep `advise` through a
 //!   per-instance backend (the default rayon `predict_batch`) vs the batched
-//!   `GnnBackend::predict_batch` override;
-//! * **graph-size sweep** — one batched forward+backward at 1×/4×/16×
-//!   disjoint-union scale, per-edge push dispatch (`ForcePush`, the
-//!   edge-list-walk baseline) vs the density-dispatched sparse path, so the
-//!   asymptotic behaviour of CSR SpMM over edge-list walks is measured
-//!   rather than asserted.
+//!   `GnnBackend::predict_batch` override.
 //!
 //! Besides the criterion output, the comparisons are re-timed explicitly
-//! (median of several runs) and written to `BENCH_gnn.json` (schema 2) at
+//! (median of several runs) and written to `BENCH_gnn.json` (schema 3) at
 //! the repository root so future PRs have a trajectory to compare against.
 //! Set `PARAGRAPH_BENCH_SMOKE=1` for the CI smoke run: fewer repetitions and
 //! a reduced epoch body, same code paths, no JSON rewrite.
@@ -29,7 +24,7 @@ use pg_dataset::{collect_platform, DatasetScale, PipelineConfig};
 use pg_engine::{AdviseRequest, Engine, EngineError, PredictionContext, RuntimePredictor};
 use pg_gnn::{
     prepare, reference, train_prepared, BatchedGraph, GnnBackend, ModelConfig, ParaGraphModel,
-    PreparedDataset, PreparedGraph, SparseDispatch, TrainConfig, TrainedModel,
+    PreparedDataset, PreparedGraph, TrainConfig, TrainedModel,
 };
 use pg_perfsim::Platform;
 use pg_tensor::Tape;
@@ -150,40 +145,6 @@ impl Comparison {
     }
 }
 
-/// Median wall-clock seconds of `reps` runs of one closure.
-fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..reps.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[samples.len() / 2]
-}
-
-/// One forward+backward over the `batch_size` training batch under each
-/// RGAT dispatch mode, milliseconds.
-#[derive(Serialize)]
-struct DispatchModes {
-    push_ms: f64,
-    pull_ms: f64,
-    auto_ms: f64,
-}
-
-/// One graph-size sweep point: the training batch replicated `scale`× into
-/// a disjoint union, timed as per-edge push baseline vs the
-/// density-dispatched sparse path (one fwd+bwd each).
-#[derive(Serialize)]
-struct SweepEntry {
-    scale: usize,
-    graphs: usize,
-    nodes: usize,
-    edges: usize,
-    forward_backward: Comparison,
-}
-
 #[derive(Serialize)]
 struct BenchReport {
     schema: u32,
@@ -199,10 +160,6 @@ struct BenchReport {
     /// One launch-sweep advise through the GNN backend, milliseconds.
     sweep_advise: Comparison,
     sweep_candidates: usize,
-    /// Schema 2: per-dispatch-mode fwd+bwd timings on the training batch.
-    dispatch_modes: DispatchModes,
-    /// Schema 2: batched-sparse vs per-edge baseline across union scales.
-    size_sweep: Vec<SweepEntry>,
 }
 
 fn bench_training_epoch(c: &mut Criterion) {
@@ -251,24 +208,6 @@ fn bench_forward_backward(c: &mut Criterion) {
             tape.backward(loss.unwrap());
         })
     });
-    for (name, dispatch) in [
-        ("gnn_forward_backward_push_x16", SparseDispatch::ForcePush),
-        ("gnn_forward_backward_pull_x16", SparseDispatch::ForcePull),
-    ] {
-        let mut mode_tape = Tape::new();
-        c.bench_function(name, |b| {
-            b.iter(|| {
-                mode_tape.reset();
-                let (_, loss, _) = model.forward_batched_with_dispatch(
-                    &mut mode_tape,
-                    std::hint::black_box(&batch),
-                    Some(&targets),
-                    dispatch,
-                );
-                mode_tape.backward(loss.unwrap());
-            })
-        });
-    }
 }
 
 fn bench_sweep_advise(c: &mut Criterion) {
@@ -384,84 +323,9 @@ fn record_json(c: &mut Criterion) {
         },
     );
 
-    // Per-dispatch-mode fwd+bwd on the 1x training batch. Each mode gets its
-    // own tape so arena reuse inside one mode cannot subsidise another.
-    let mode_ms = |dispatch: SparseDispatch| {
-        let mut mode_tape = Tape::new();
-        let mut pass = || {
-            mode_tape.reset();
-            let (_, loss, _) = model.forward_batched_with_dispatch(
-                &mut mode_tape,
-                &batch,
-                Some(&targets),
-                dispatch,
-            );
-            mode_tape.backward(loss.unwrap());
-        };
-        pass(); // warm the arena so the timing sees steady-state reuse
-        median_secs(fb_reps, pass) * 1e3
-    };
-    let dispatch_modes = DispatchModes {
-        push_ms: mode_ms(SparseDispatch::ForcePush),
-        pull_ms: mode_ms(SparseDispatch::ForcePull),
-        auto_ms: mode_ms(SparseDispatch::Auto),
-    };
-
-    // Graph-size sweep: replicate the training batch into 1x/4x/16x disjoint
-    // unions and time one fwd+bwd per dispatch strategy. ForcePush walks the
-    // per-edge gather/scatter path (the pre-CSR baseline shape); Auto is the
-    // shipping density dispatch.
-    let mut size_sweep = Vec::new();
-    for scale in [1usize, 4, 16] {
-        let mut sweep_items: Vec<(&PreparedGraph, [f32; 2])> =
-            Vec::with_capacity(items.len() * scale);
-        let mut sweep_targets: Vec<f32> = Vec::with_capacity(targets.len() * scale);
-        for _ in 0..scale {
-            sweep_items.extend(items.iter().copied());
-            sweep_targets.extend(targets.iter().copied());
-        }
-        let sweep_batch = BatchedGraph::build(&sweep_items);
-        let edges: usize = sweep_batch.relations.iter().map(|r| r.len()).sum();
-        let sweep_fb_reps = if smoke() { 1 } else { (fb_reps / scale).max(3) };
-        let mut push_tape = Tape::new();
-        let mut auto_tape = Tape::new();
-        let mut push_pass = || {
-            push_tape.reset();
-            let (_, loss, _) = model.forward_batched_with_dispatch(
-                &mut push_tape,
-                &sweep_batch,
-                Some(&sweep_targets),
-                SparseDispatch::ForcePush,
-            );
-            push_tape.backward(loss.unwrap());
-        };
-        let mut auto_pass = || {
-            auto_tape.reset();
-            let (_, loss, _) = model.forward_batched_with_dispatch(
-                &mut auto_tape,
-                &sweep_batch,
-                Some(&sweep_targets),
-                SparseDispatch::Auto,
-            );
-            auto_tape.backward(loss.unwrap());
-        };
-        // Warm both arenas: with few reps at the big scales, a cold first
-        // pass is dominated by allocation, not the kernels under test.
-        push_pass();
-        auto_pass();
-        let (per_edge, sparse) = interleaved_medians(sweep_fb_reps, push_pass, auto_pass);
-        size_sweep.push(SweepEntry {
-            scale,
-            graphs: sweep_batch.batch_size(),
-            nodes: sweep_batch.total_nodes(),
-            edges,
-            forward_backward: Comparison::of(per_edge, sparse),
-        });
-    }
-
     let per_sample_count = indices.len().max(1) as f64;
     let report = BenchReport {
-        schema: 2,
+        schema: 3,
         platform: PLATFORM.name().to_string(),
         dataset_scale: "Fast".to_string(),
         samples: prepared.samples.len(),
@@ -474,8 +338,6 @@ fn record_json(c: &mut Criterion) {
         ),
         sweep_advise: Comparison::of(sweep_per_instance, sweep_batched),
         sweep_candidates: candidates,
-        dispatch_modes,
-        size_sweep,
     };
     println!(
         "gnn perf: epoch {:.1}ms -> {:.1}ms ({:.2}x), fwd+bwd/sample {:.3}ms -> {:.3}ms ({:.2}x), sweep {:.2}ms -> {:.2}ms ({:.2}x)",
@@ -489,25 +351,6 @@ fn record_json(c: &mut Criterion) {
         report.sweep_advise.batched_ms,
         report.sweep_advise.speedup,
     );
-    println!(
-        "gnn dispatch (fwd+bwd x{} batch): push {:.2}ms, pull {:.2}ms, auto {:.2}ms",
-        config.batch_size,
-        report.dispatch_modes.push_ms,
-        report.dispatch_modes.pull_ms,
-        report.dispatch_modes.auto_ms,
-    );
-    for entry in &report.size_sweep {
-        println!(
-            "gnn size sweep x{} ({} graphs, {} nodes, {} edges): per-edge {:.2}ms -> sparse {:.2}ms ({:.2}x)",
-            entry.scale,
-            entry.graphs,
-            entry.nodes,
-            entry.edges,
-            entry.forward_backward.baseline_ms,
-            entry.forward_backward.batched_ms,
-            entry.forward_backward.speedup,
-        );
-    }
     if smoke() {
         // The CI smoke run proves the harness executes end to end but its
         // timings are noise; keep the committed baseline intact.

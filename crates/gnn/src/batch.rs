@@ -21,26 +21,12 @@
 //! path re-cloned every edge list on every forward pass of every epoch.
 
 use paragraph_core::RelationalGraph;
-use pg_tensor::{Matrix, SparseMatrix};
+use pg_tensor::Matrix;
 use std::sync::Arc;
-
-/// A relation's edges as a shared CSR pattern over the graph's node set
-/// (rows = destinations, cols = sources), with the attention priors
-/// permuted into CSR order once at build time. This is everything the
-/// pull-mode (SpMM) dispatch branch records on the tape.
-#[derive(Debug, Clone)]
-pub struct CsrRelation {
-    /// Shared CSR adjacency; `Arc` so recording it on a tape op is a
-    /// refcount bump.
-    pub adj: Arc<SparseMatrix>,
-    /// Attention priors in CSR order (`E x 1`).
-    pub priors_csr: Matrix,
-}
 
 /// One relation's edges, ready for the tape: shared index slices plus the
 /// attention priors as an `E x 1` column (its buffer doubles as the prior
-/// slice for the segment softmax), and a CSR encoding of the same edges
-/// for pull-mode dispatch. Built once per prepared graph / batch via
+/// slice for the segment softmax). Built once per prepared graph / batch via
 /// [`PreparedRelation::new`].
 #[derive(Debug, Clone)]
 pub struct PreparedRelation {
@@ -50,25 +36,15 @@ pub struct PreparedRelation {
     pub dst: Arc<[usize]>,
     /// Attention priors per edge (`E x 1`).
     pub priors: Matrix,
-    /// CSR view of the same edges (kept consistent with `src`/`dst` by
-    /// construction, hence not public).
-    csr: CsrRelation,
 }
 
 impl PreparedRelation {
-    /// Intern a relation's edge list and build its CSR encoding over a
-    /// `node_count`-node graph. `priors` is the `E x 1` prior column in
-    /// edge-list order; its CSR permutation is materialised here so the
-    /// hot path never chases the permutation.
-    pub fn new(src: Arc<[usize]>, dst: Arc<[usize]>, priors: Matrix, node_count: usize) -> Self {
-        let adj = Arc::new(SparseMatrix::from_edges(node_count, node_count, &src, &dst));
-        let priors_csr = Matrix::col_vector(&adj.permute_to_csr(priors.as_slice()));
-        Self {
-            src,
-            dst,
-            priors,
-            csr: CsrRelation { adj, priors_csr },
-        }
+    /// Wrap a relation's interned edge list and its `E x 1` prior column
+    /// (in edge-list order).
+    pub fn new(src: Arc<[usize]>, dst: Arc<[usize]>, priors: Matrix) -> Self {
+        debug_assert_eq!(src.len(), dst.len(), "one destination per edge");
+        debug_assert_eq!(priors.rows(), src.len(), "one prior per edge");
+        Self { src, dst, priors }
     }
 
     /// Number of edges.
@@ -79,11 +55,6 @@ impl PreparedRelation {
     /// True when the relation has no edges.
     pub fn is_empty(&self) -> bool {
         self.src.is_empty()
-    }
-
-    /// The CSR encoding of this relation's edges.
-    pub fn csr(&self) -> &CsrRelation {
-        &self.csr
     }
 }
 
@@ -126,7 +97,6 @@ impl PreparedGraph {
                     Arc::from(rel.src.as_slice()),
                     Arc::from(rel.dst.as_slice()),
                     Matrix::col_vector(&graph.attention_priors(idx)),
-                    graph.node_count,
                 )
             })
             .collect();
@@ -211,12 +181,7 @@ impl BatchedGraph {
                     dst.extend(rel.dst.iter().map(|&d| d + offset));
                     priors.extend_from_slice(rel.priors.as_slice());
                 }
-                PreparedRelation::new(
-                    Arc::from(src),
-                    Arc::from(dst),
-                    Matrix::col_vector(&priors),
-                    total_nodes,
-                )
+                PreparedRelation::new(Arc::from(src), Arc::from(dst), Matrix::col_vector(&priors))
             })
             .collect();
 
@@ -329,25 +294,5 @@ mod tests {
     #[should_panic(expected = "zero graphs")]
     fn empty_batch_panics() {
         let _ = BatchedGraph::build(&[]);
-    }
-
-    #[test]
-    fn prepared_relations_carry_consistent_csr() {
-        let (a, b) = two_graphs();
-        let batch = BatchedGraph::build(&[(&a, [0.1, 0.2]), (&b, [0.3, 0.4])]);
-        for rel in &batch.relations {
-            let csr = rel.csr();
-            assert_eq!(csr.adj.nnz(), rel.len());
-            assert_eq!(csr.adj.rows(), batch.total_nodes());
-            assert_eq!(csr.adj.cols(), batch.total_nodes());
-            assert_eq!(csr.priors_csr.shape(), (rel.len(), 1));
-            // Every CSR position maps back to its original edge, priors
-            // permuted alongside.
-            for (pos, (s, d)) in csr.adj.to_edge_list().into_iter().enumerate() {
-                let e = csr.adj.perm()[pos];
-                assert_eq!((s, d), (rel.src[e], rel.dst[e]));
-                assert_eq!(csr.priors_csr.get(pos, 0), rel.priors.get(e, 0));
-            }
-        }
     }
 }

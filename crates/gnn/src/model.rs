@@ -5,7 +5,7 @@
 //! both embeddings to the predicted runtime.
 
 use crate::batch::{BatchedGraph, PreparedGraph};
-use crate::rgat::{RgatLayer, SparseDispatch};
+use crate::rgat::RgatLayer;
 use paragraph_core::{RelationalGraph, NODE_FEATURE_DIM};
 use pg_tensor::{init, Matrix, Tape, Var};
 use rand::rngs::StdRng;
@@ -198,19 +198,6 @@ impl ParaGraphModel {
         batch: &BatchedGraph,
         targets: Option<&[f32]>,
     ) -> (Var, Option<Var>, Vec<Var>) {
-        self.forward_batched_with_dispatch(tape, batch, targets, SparseDispatch::Auto)
-    }
-
-    /// [`ParaGraphModel::forward_batched`] with an explicit push/pull
-    /// dispatch override for every RGAT layer (testing and benchmarking;
-    /// production callers use the density-based `Auto` default).
-    pub fn forward_batched_with_dispatch(
-        &self,
-        tape: &mut Tape,
-        batch: &BatchedGraph,
-        targets: Option<&[f32]>,
-        dispatch: SparseDispatch,
-    ) -> (Var, Option<Var>, Vec<Var>) {
         let param_vars = self.register_parameters(tape);
         let n = batch.total_nodes();
 
@@ -226,7 +213,7 @@ impl ParaGraphModel {
             let timer = pg_obs::obs().timer(pg_obs::Stage::GnnForward);
             let count = layer.parameter_count();
             let layer_params = &param_vars[offset..offset + count];
-            h = layer.forward_with_dispatch(tape, h, layer_params, &batch.relations, n, dispatch);
+            h = layer.forward(tape, h, layer_params, &batch.relations, n);
             offset += count;
             timer.finish();
         }
@@ -265,19 +252,8 @@ impl ParaGraphModel {
     /// Predict the encoded runtimes of a whole batch on a caller-owned tape
     /// (the tape is reset first, so one tape amortises across calls).
     pub fn predict_batched(&self, tape: &mut Tape, batch: &BatchedGraph) -> Vec<f32> {
-        self.predict_batched_with_dispatch(tape, batch, SparseDispatch::Auto)
-    }
-
-    /// [`ParaGraphModel::predict_batched`] with an explicit push/pull
-    /// dispatch override.
-    pub fn predict_batched_with_dispatch(
-        &self,
-        tape: &mut Tape,
-        batch: &BatchedGraph,
-        dispatch: SparseDispatch,
-    ) -> Vec<f32> {
         tape.reset();
-        let (prediction, _, _) = self.forward_batched_with_dispatch(tape, batch, None, dispatch);
+        let (prediction, _, _) = self.forward_batched(tape, batch, None);
         tape.value(prediction).col(0)
     }
 

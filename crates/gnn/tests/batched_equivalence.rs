@@ -9,7 +9,7 @@
 use pg_dataset::{collect_platform, DatasetScale, PipelineConfig, PlatformDataset};
 use pg_gnn::{
     evaluate, prepare, reference, train_prepared, BatchedGraph, GnnBackend, ModelConfig,
-    ParaGraphModel, PreparedGraph, SparseDispatch, TrainConfig, TrainedModel,
+    ParaGraphModel, PreparedDataset, PreparedGraph, TrainConfig, TrainedModel,
 };
 use pg_perfsim::Platform;
 use pg_tensor::{Matrix, Tape};
@@ -27,26 +27,23 @@ fn tiny_dataset() -> PlatformDataset {
     )
 }
 
-#[test]
-fn batched_predictions_match_per_sample_within_tolerance() {
+/// Predict every sample through chunked disjoint unions on one reused tape
+/// and compare against the per-sample reference (one fresh tape per sample,
+/// concat-based attention — the pre-batching execution path).
+fn assert_batched_predictions_match_reference(model: &ParaGraphModel, seed: u64, chunk: usize) {
     let ds = tiny_dataset();
-    let prepared = prepare(&ds, paragraph_core::Representation::ParaGraph, 7);
-    let model = ParaGraphModel::new(ModelConfig::tiny(), 7);
-
-    // Per-sample legacy reference: one fresh tape per sample, concat-based
-    // attention — the pre-batching execution path.
+    let prepared = prepare(&ds, paragraph_core::Representation::ParaGraph, seed);
     let reference: Vec<f32> = prepared
         .samples
         .iter()
-        .map(|s| reference::predict_graph(&model, &s.graph, s.side))
+        .map(|s| reference::predict_graph(model, &s.graph, s.side))
         .collect();
 
-    // Batched: every sample in chunked disjoint unions on one reused tape.
     let mut tape = Tape::new();
     let mut batched = Vec::with_capacity(prepared.samples.len());
-    for chunk in prepared.prepared.chunks(17) {
+    for members in prepared.prepared.chunks(chunk) {
         let offset = batched.len();
-        let items: Vec<(&PreparedGraph, [f32; 2])> = chunk
+        let items: Vec<(&PreparedGraph, [f32; 2])> = members
             .iter()
             .enumerate()
             .map(|(i, graph)| (graph, prepared.samples[offset + i].side))
@@ -59,29 +56,30 @@ fn batched_predictions_match_per_sample_within_tolerance() {
     for (i, (r, b)) in reference.iter().zip(batched.iter()).enumerate() {
         assert!(
             (r - b).abs() <= TOLERANCE,
-            "sample {i}: per-sample {r} vs batched {b}"
+            "chunk {chunk}, sample {i}: per-sample {r} vs batched {b}"
         );
     }
 }
 
-#[test]
-fn batched_gradients_match_mean_of_per_sample_gradients() {
-    let ds = tiny_dataset();
-    let prepared = prepare(&ds, paragraph_core::Representation::ParaGraph, 11);
-    let model = ParaGraphModel::new(ModelConfig::tiny(), 11);
-    let batch_indices: Vec<usize> = prepared.train_idx.iter().copied().take(12).collect();
+/// One forward/backward over the disjoint union of `batch_indices` on
+/// `tape` (reset first) must reproduce the mean of the per-sample reference
+/// losses and gradients, averaged by hand the way the pre-batching training
+/// loop did.
+fn assert_batched_gradients_match_reference(
+    model: &ParaGraphModel,
+    prepared: &PreparedDataset,
+    tape: &mut Tape,
+    batch_indices: &[usize],
+) {
     assert!(batch_indices.len() >= 4, "need a real batch to compare");
-
-    // Per-sample reference: average the per-sample gradients by hand, the
-    // way the pre-batching training loop did.
     let mut mean_loss = 0.0f32;
     let mut mean_grads: Vec<Matrix> = model
         .parameters()
         .iter()
         .map(|p| Matrix::zeros(p.rows(), p.cols()))
         .collect();
-    for &i in &batch_indices {
-        let (loss, grads) = reference::loss_and_gradients(&model, &prepared.samples[i]);
+    for &i in batch_indices {
+        let (loss, grads) = reference::loss_and_gradients(model, &prepared.samples[i]);
         mean_loss += loss;
         for (acc, g) in mean_grads.iter_mut().zip(grads.iter()) {
             acc.add_assign(g);
@@ -93,7 +91,6 @@ fn batched_gradients_match_mean_of_per_sample_gradients() {
         *g = g.scale(scale);
     }
 
-    // Batched: one forward/backward over the disjoint union.
     let items: Vec<(&PreparedGraph, [f32; 2])> = batch_indices
         .iter()
         .map(|&i| (&prepared.prepared[i], prepared.samples[i].side))
@@ -103,8 +100,8 @@ fn batched_gradients_match_mean_of_per_sample_gradients() {
         .map(|&i| prepared.samples[i].target)
         .collect();
     let batch = BatchedGraph::build(&items);
-    let mut tape = Tape::new();
-    let (_, loss, param_vars) = model.forward_batched(&mut tape, &batch, Some(&targets));
+    tape.reset();
+    let (_, loss, param_vars) = model.forward_batched(tape, &batch, Some(&targets));
     let loss = loss.unwrap();
     tape.backward(loss);
 
@@ -124,105 +121,49 @@ fn batched_gradients_match_mean_of_per_sample_gradients() {
 }
 
 #[test]
-fn sparse_dispatch_predictions_match_per_sample_in_every_mode() {
-    // The density heuristic must be a pure performance knob: forcing every
-    // relation down the push branch or the pull (CSR SpMM) branch has to
-    // reproduce the per-sample reference on the same fixtures as the Auto
-    // path. This covers each branch regardless of what densities the
-    // dataset happens to produce.
-    let ds = tiny_dataset();
-    let prepared = prepare(&ds, paragraph_core::Representation::ParaGraph, 7);
-    let model = ParaGraphModel::new(ModelConfig::tiny(), 7);
+fn batched_predictions_match_per_sample_within_tolerance() {
+    assert_batched_predictions_match_reference(&ParaGraphModel::new(ModelConfig::tiny(), 7), 7, 17);
+}
 
-    let reference: Vec<f32> = prepared
-        .samples
-        .iter()
-        .map(|s| reference::predict_graph(&model, &s.graph, s.side))
-        .collect();
+#[test]
+fn batched_gradients_match_mean_of_per_sample_gradients() {
+    let prepared = prepare(
+        &tiny_dataset(),
+        paragraph_core::Representation::ParaGraph,
+        11,
+    );
+    let model = ParaGraphModel::new(ModelConfig::tiny(), 11);
+    let batch: Vec<usize> = prepared.train_idx.iter().copied().take(12).collect();
+    assert_batched_gradients_match_reference(&model, &prepared, &mut Tape::new(), &batch);
+}
 
-    for dispatch in [
-        SparseDispatch::Auto,
-        SparseDispatch::ForcePush,
-        SparseDispatch::ForcePull,
-    ] {
-        let mut tape = Tape::new();
-        let mut batched = Vec::with_capacity(prepared.samples.len());
-        for chunk in prepared.prepared.chunks(17) {
-            let offset = batched.len();
-            let items: Vec<(&PreparedGraph, [f32; 2])> = chunk
-                .iter()
-                .enumerate()
-                .map(|(i, graph)| (graph, prepared.samples[offset + i].side))
-                .collect();
-            let batch = BatchedGraph::build(&items);
-            batched.extend(model.predict_batched_with_dispatch(&mut tape, &batch, dispatch));
-        }
-        assert_eq!(reference.len(), batched.len());
-        for (i, (r, b)) in reference.iter().zip(batched.iter()).enumerate() {
-            assert!(
-                (r - b).abs() <= TOLERANCE,
-                "{dispatch:?} sample {i}: per-sample {r} vs batched {b}"
-            );
-        }
+#[test]
+fn batched_gradients_on_a_reused_tape_match_per_sample_gradients() {
+    // One tape across batches of different sizes, as the training loop
+    // holds it: every backward must start from clean gradient buffers, never
+    // the previous batch's retained slots.
+    let prepared = prepare(
+        &tiny_dataset(),
+        paragraph_core::Representation::ParaGraph,
+        19,
+    );
+    let model = ParaGraphModel::new(ModelConfig::tiny(), 11);
+    let order = &prepared.train_idx;
+    assert!(order.len() >= 20, "need two distinct batches");
+    let mut tape = Tape::new();
+    for window in [&order[..12], &order[12..20], &order[..12]] {
+        assert_batched_gradients_match_reference(&model, &prepared, &mut tape, window);
     }
 }
 
 #[test]
-fn sparse_dispatch_gradients_match_per_sample_in_every_mode() {
-    let ds = tiny_dataset();
-    let prepared = prepare(&ds, paragraph_core::Representation::ParaGraph, 11);
-    let model = ParaGraphModel::new(ModelConfig::tiny(), 11);
-    let batch_indices: Vec<usize> = prepared.train_idx.iter().copied().take(12).collect();
-    assert!(batch_indices.len() >= 4, "need a real batch to compare");
-
-    let mut mean_loss = 0.0f32;
-    let mut mean_grads: Vec<Matrix> = model
-        .parameters()
-        .iter()
-        .map(|p| Matrix::zeros(p.rows(), p.cols()))
-        .collect();
-    for &i in &batch_indices {
-        let (loss, grads) = reference::loss_and_gradients(&model, &prepared.samples[i]);
-        mean_loss += loss;
-        for (acc, g) in mean_grads.iter_mut().zip(grads.iter()) {
-            acc.add_assign(g);
-        }
-    }
-    let scale = 1.0 / batch_indices.len() as f32;
-    mean_loss *= scale;
-    for g in &mut mean_grads {
-        *g = g.scale(scale);
-    }
-
-    let items: Vec<(&PreparedGraph, [f32; 2])> = batch_indices
-        .iter()
-        .map(|&i| (&prepared.prepared[i], prepared.samples[i].side))
-        .collect();
-    let targets: Vec<f32> = batch_indices
-        .iter()
-        .map(|&i| prepared.samples[i].target)
-        .collect();
-    let batch = BatchedGraph::build(&items);
-
-    for dispatch in [SparseDispatch::ForcePush, SparseDispatch::ForcePull] {
-        let mut tape = Tape::new();
-        let (_, loss, param_vars) =
-            model.forward_batched_with_dispatch(&mut tape, &batch, Some(&targets), dispatch);
-        let loss = loss.unwrap();
-        tape.backward(loss);
-        assert!(
-            (tape.value(loss).get(0, 0) - mean_loss).abs() <= TOLERANCE,
-            "{dispatch:?}: batch-mean loss {} vs mean of per-sample losses {mean_loss}",
-            tape.value(loss).get(0, 0)
-        );
-        for (key, (reference, var)) in mean_grads.iter().zip(param_vars.iter()).enumerate() {
-            let batched = tape.grad(*var);
-            let diff = reference.max_abs_diff(&batched);
-            assert!(
-                diff <= TOLERANCE,
-                "{dispatch:?}: gradient {key} diverged by {diff}"
-            );
-        }
+fn default_config_predictions_match_per_sample_at_every_batch_size() {
+    // The served configuration (three layers, hidden 24) through a batch of
+    // one (the shared-index `BatchedGraph::single` path), an odd chunk and
+    // the whole dataset as one disjoint union.
+    let model = ParaGraphModel::new(ModelConfig::default(), 13);
+    for chunk in [1, 9, usize::MAX] {
+        assert_batched_predictions_match_reference(&model, 13, chunk);
     }
 }
 
@@ -360,4 +301,57 @@ fn batch_with_failing_candidate_reports_in_place() {
     assert!(results[2].is_ok());
     // The two identical good candidates must agree exactly.
     assert_eq!(results[0].as_ref().unwrap(), results[2].as_ref().unwrap());
+}
+
+#[test]
+fn advise_many_coalescing_is_bit_identical_to_advise_for_the_default_config() {
+    // Serving coalesces concurrent requests into one disjoint union, so a
+    // candidate's matmul rows sit in products of very different heights
+    // depending on what else is in the batch. The served default
+    // configuration (three layers, hidden 24) must still rank every
+    // request bit-identically to answering it alone.
+    use pg_engine::{AdviseRequest, Engine};
+
+    let config = TrainConfig {
+        model: ModelConfig::default(),
+        ..TrainConfig::fast()
+    };
+    let (bundle, _) = TrainedModel::fit(&tiny_dataset(), &config).unwrap();
+    let engine = Engine::builder()
+        .platform(Platform::SummitV100)
+        .backend(GnnBackend::new(bundle, Platform::SummitV100))
+        .cache_capacity(1024)
+        .build();
+    let requests: Vec<AdviseRequest> = pg_kernels::all_kernels()
+        .iter()
+        .map(|kernel| AdviseRequest::catalog(kernel.full_name()))
+        .collect();
+    let alone: Vec<_> = requests
+        .iter()
+        .map(|request| engine.advise(request).unwrap().rankings)
+        .collect();
+
+    let mut differing = Vec::new();
+    for (i, first) in requests.iter().enumerate() {
+        for (j, second) in requests.iter().enumerate() {
+            if i == j {
+                continue;
+            }
+            let coalesced = engine.advise_many(&[first.clone(), second.clone()]);
+            let exact = [i, j]
+                .into_iter()
+                .zip(coalesced)
+                .all(|(k, report)| report.unwrap().rankings == alone[k]);
+            if !exact {
+                differing.push((i, j));
+            }
+        }
+    }
+    assert!(
+        differing.is_empty(),
+        "{} of {} coalesced pairs ranked differently from advise: {:?}",
+        differing.len(),
+        requests.len() * (requests.len() - 1),
+        &differing[..differing.len().min(8)]
+    );
 }

@@ -28,8 +28,7 @@
 //!   `Arc<[usize]>` so recording them on the tape is a refcount bump, not a
 //!   copy — use the `*_shared` entry points from prepared data structures.
 
-use crate::matrix::{dot, Matrix};
-use crate::sparse::SparseMatrix;
+use crate::matrix::Matrix;
 use std::sync::Arc;
 
 /// Handle to a value on a [`Tape`].
@@ -116,36 +115,6 @@ enum Op {
         src: Option<Arc<[usize]>>,
         dst: Arc<[usize]>,
     },
-    /// Sparse × dense product `out = base + A(s) · a` against a shared CSR
-    /// pattern, with `s` the `nnz x 1` value column in CSR order (and
-    /// `base = 0` when absent). The pull-mode dual of `EdgeScaleScatter`:
-    /// same per-edge math, but iteration is per destination row, and the
-    /// backward pass pulls through the pattern's transpose view instead of
-    /// scattering.
-    SpmmCsr {
-        a: usize,
-        s: usize,
-        base: Option<usize>,
-        adj: Arc<SparseMatrix>,
-    },
-    /// Fused SDDMM-style attention logits over a CSR pattern:
-    /// `out[pos] = x[col(pos)] · p + x[row(pos)] · q`, an `nnz x 1` column
-    /// in CSR order. Sampled dense-dense matmul: only the entries the
-    /// pattern stores are computed, so no `E x F` gather is materialised.
-    SddmmEdgeLogits {
-        x: usize,
-        p: usize,
-        q: usize,
-        adj: Arc<SparseMatrix>,
-    },
-    /// Segment softmax over contiguous CSR row extents with constant
-    /// multiplicative priors (the CSR sibling of `SegmentSoftmax`: segments
-    /// are `row_ptr[d]..row_ptr[d+1]` extents, so backward needs no
-    /// segment-id scratch).
-    CsrSegmentSoftmax {
-        logits: usize,
-        row_ptr: Arc<[usize]>,
-    },
 }
 
 #[derive(Debug, Clone)]
@@ -188,9 +157,6 @@ fn op_parents(op: &Op) -> [Option<usize>; 3] {
         Op::SegmentMeanRows { a, .. } => [Some(*a), None, None],
         Op::MseLoss { pred, .. } => [Some(*pred), None, None],
         Op::EdgeScaleScatter { a, s, base, .. } => [Some(*a), Some(*s), *base],
-        Op::SpmmCsr { a, s, base, .. } => [Some(*a), Some(*s), *base],
-        Op::SddmmEdgeLogits { x, p, q, .. } => [Some(*x), Some(*p), Some(*q)],
-        Op::CsrSegmentSoftmax { logits, .. } => [Some(*logits), None, None],
     }
 }
 
@@ -660,130 +626,6 @@ impl Tape {
                 let scale = vs.get(e, 0);
                 for (o, &v) in out.row_mut(d).iter_mut().zip(row) {
                     *o += scale * v;
-                }
-            }
-        })
-    }
-
-    /// Sparse × dense aggregation `out = base + A(s) · a` against a shared
-    /// CSR pattern (`base = 0` when absent): destination row `d` accumulates
-    /// `s[pos] * a[col(pos)]` over its row extent. `s` must be the pattern's
-    /// `nnz x 1` value column *in CSR order* (permute per-edge data once with
-    /// [`SparseMatrix::permute_to_csr`]).
-    ///
-    /// Pull-mode equivalent of [`Tape::edge_scale_scatter`]: the CSR build is
-    /// stable by destination, so each output row adds the same contributions
-    /// in the same order and the two ops agree bit for bit. Backward pulls
-    /// `dA/da = Aᵀ·g` through the transpose view — sequential per-source
-    /// accumulation instead of a scatter.
-    pub fn spmm_csr(&mut self, a: Var, s: Var, base: Option<Var>, adj: &Arc<SparseMatrix>) -> Var {
-        assert_ne!(a.0, s.0, "messages and scales must be distinct nodes");
-        if let Some(base) = base {
-            assert_ne!(base.0, a.0, "base must be distinct from the messages");
-            assert_ne!(base.0, s.0, "base must be distinct from the scales");
-        }
-        let op = Op::SpmmCsr {
-            a: a.0,
-            s: s.0,
-            base: base.map(|b| b.0),
-            adj: Arc::clone(adj),
-        };
-        let adj = Arc::clone(adj);
-        self.push_with(op, move |prev, out| {
-            let vb = base.map(|b| &prev[b.0].value);
-            adj.spmm_into(&prev[s.0].value, &prev[a.0].value, vb, out);
-        })
-    }
-
-    /// Fused SDDMM-style per-edge attention logits over a CSR pattern:
-    /// `out[pos] = x[col(pos)] · p + x[row(pos)] · q`, an `nnz x 1` column in
-    /// CSR order. `p` and `q` are `F x 1` contraction vectors (in ParaGraph:
-    /// `W·a_src` and `W·a_dst` precontracted once per relation). Only the
-    /// stored entries are computed — no `E x F` gathered intermediate, and
-    /// the per-destination term `x[d] · q` is hoisted out of each row extent.
-    pub fn sddmm_edge_logits(&mut self, x: Var, p: Var, q: Var, adj: &Arc<SparseMatrix>) -> Var {
-        assert_ne!(x.0, p.0, "features and contraction vectors must differ");
-        assert_ne!(x.0, q.0, "features and contraction vectors must differ");
-        assert_ne!(p.0, q.0, "the two contraction vectors must be distinct");
-        let op = Op::SddmmEdgeLogits {
-            x: x.0,
-            p: p.0,
-            q: q.0,
-            adj: Arc::clone(adj),
-        };
-        let adj = Arc::clone(adj);
-        self.push_with(op, move |prev, out| {
-            let vx = &prev[x.0].value;
-            let vp = &prev[p.0].value;
-            let vq = &prev[q.0].value;
-            assert_eq!(vx.rows(), adj.cols(), "one feature row per source");
-            assert_eq!(vx.rows(), adj.rows(), "one feature row per destination");
-            assert_eq!(vp.shape(), (vx.cols(), 1), "p must be an F x 1 column");
-            assert_eq!(vq.shape(), (vx.cols(), 1), "q must be an F x 1 column");
-            let (row_ptr, col_idx) = (adj.row_ptr(), adj.col_idx());
-            out.resize_for_overwrite(adj.nnz(), 1);
-            for d in 0..adj.rows() {
-                let (lo, hi) = (row_ptr[d], row_ptr[d + 1]);
-                if lo == hi {
-                    continue;
-                }
-                let dst_term = dot(vx.row(d), vq.as_slice());
-                for pos in lo..hi {
-                    let v = dot(vx.row(col_idx[pos]), vp.as_slice()) + dst_term;
-                    out.set(pos, 0, v);
-                }
-            }
-        })
-    }
-
-    /// [`Tape::segment_softmax`] re-expressed over CSR row extents: segment
-    /// `d` is the contiguous positions `row_ptr[d]..row_ptr[d+1]`, and
-    /// `priors` is the constant prior column already in CSR order. Contiguous
-    /// segments need no per-segment scratch in either direction.
-    pub fn csr_segment_softmax(
-        &mut self,
-        logits: Var,
-        row_ptr: &Arc<[usize]>,
-        priors: &[f32],
-    ) -> Var {
-        let op = Op::CsrSegmentSoftmax {
-            logits: logits.0,
-            row_ptr: Arc::clone(row_ptr),
-        };
-        let row_ptr = Arc::clone(row_ptr);
-        self.push_with(op, move |prev, out| {
-            let l = &prev[logits.0].value;
-            assert_eq!(l.cols(), 1, "csr_segment_softmax expects an E x 1 column");
-            assert!(!row_ptr.is_empty(), "row_ptr needs at least one boundary");
-            assert_eq!(row_ptr[0], 0, "row_ptr must start at 0");
-            assert_eq!(
-                *row_ptr.last().unwrap(),
-                l.rows(),
-                "row_ptr must end at the logit count"
-            );
-            assert_eq!(l.rows(), priors.len(), "one prior per logit required");
-            let e = l.rows();
-            out.resize_for_overwrite(e, 1);
-            for d in 0..row_ptr.len() - 1 {
-                let (lo, hi) = (row_ptr[d], row_ptr[d + 1]);
-                assert!(lo <= hi, "row_ptr must be non-decreasing");
-                if lo == hi {
-                    continue;
-                }
-                // Per-row max subtraction, as in `segment_softmax_into`.
-                let mut m = f32::NEG_INFINITY;
-                for pos in lo..hi {
-                    m = m.max(l.get(pos, 0));
-                }
-                let mut sum = 0.0f32;
-                for (pos, &w) in priors.iter().enumerate().take(hi).skip(lo) {
-                    let num = w.max(1e-12) * (l.get(pos, 0) - m).exp();
-                    out.set(pos, 0, num);
-                    sum += num;
-                }
-                let inv = 1.0 / sum.max(1e-20);
-                for pos in lo..hi {
-                    out.set(pos, 0, out.get(pos, 0) * inv);
                 }
             }
         })
@@ -1357,114 +1199,6 @@ impl Tape {
                         }
                     }
                 }
-                Op::SpmmCsr { a, s, base, adj } => {
-                    // out[d] = base[d] + Σ_pos s[pos] * a[col(pos)]
-                    // d base = g;  d a = Aᵀ(s) · g  (pulled via the
-                    // transpose view — per-source, deterministic);
-                    // d s[pos] = g[row(pos)] · a[col(pos)].
-                    if let Some(b) = base {
-                        acc_grad(parents, *b, g);
-                    }
-                    let (a, s) = (*a, *s);
-                    let (na, ns) = two_mut(parents, a, s);
-                    let want_ds = ns.requires_grad;
-                    if want_ds {
-                        ensure_grad(ns);
-                    }
-                    if na.requires_grad {
-                        ensure_grad(na);
-                        adj.spmm_transpose_acc_into(&ns.value, g, &mut na.grad);
-                    }
-                    if want_ds {
-                        let (row_ptr, col_idx) = (adj.row_ptr(), adj.col_idx());
-                        for d in 0..adj.rows() {
-                            let gr = g.row(d);
-                            for pos in row_ptr[d]..row_ptr[d + 1] {
-                                let dv = dot(gr, na.value.row(col_idx[pos]));
-                                ns.grad.set(pos, 0, ns.grad.get(pos, 0) + dv);
-                            }
-                        }
-                    }
-                }
-                Op::SddmmEdgeLogits { x, p, q, adj } => {
-                    // out[pos] = x[col(pos)] · p + x[row(pos)] · q
-                    // d x[col(pos)] += g[pos] pᵀ;  d x[row(pos)] += g[pos] qᵀ;
-                    // d p += Σ g[pos] x[col(pos)]ᵀ;  d q += Σ g[pos] x[row(pos)]ᵀ.
-                    let (x, p, q) = (*x, *p, *q);
-                    let (row_ptr, col_idx) = (adj.row_ptr(), adj.col_idx());
-                    if parents[x].requires_grad {
-                        // Stage p and q in scratch so x's gradient can be
-                        // mutated without aliasing its sibling parents.
-                        let f = parents[x].value.cols();
-                        scratch.clear();
-                        scratch.extend_from_slice(parents[p].value.as_slice());
-                        scratch.extend_from_slice(parents[q].value.as_slice());
-                        let (pv, qv) = scratch.split_at(f);
-                        let nx = &mut parents[x];
-                        ensure_grad(nx);
-                        for d in 0..adj.rows() {
-                            let (lo, hi) = (row_ptr[d], row_ptr[d + 1]);
-                            for pos in lo..hi {
-                                let gv = g.get(pos, 0);
-                                for (o, &vv) in nx.grad.row_mut(col_idx[pos]).iter_mut().zip(pv) {
-                                    *o += gv * vv;
-                                }
-                                for (o, &vv) in nx.grad.row_mut(d).iter_mut().zip(qv) {
-                                    *o += gv * vv;
-                                }
-                            }
-                        }
-                    }
-                    if parents[p].requires_grad {
-                        let (np, nx) = two_mut(parents, p, x);
-                        ensure_grad(np);
-                        for d in 0..adj.rows() {
-                            for pos in row_ptr[d]..row_ptr[d + 1] {
-                                let gv = g.get(pos, 0);
-                                for (fi, &xv) in nx.value.row(col_idx[pos]).iter().enumerate() {
-                                    np.grad.set(fi, 0, np.grad.get(fi, 0) + gv * xv);
-                                }
-                            }
-                        }
-                    }
-                    if parents[q].requires_grad {
-                        let (nq, nx) = two_mut(parents, q, x);
-                        ensure_grad(nq);
-                        for d in 0..adj.rows() {
-                            let (lo, hi) = (row_ptr[d], row_ptr[d + 1]);
-                            if lo == hi {
-                                continue;
-                            }
-                            // Row d's q-term is shared by its whole extent.
-                            let gsum: f32 = (lo..hi).map(|pos| g.get(pos, 0)).sum();
-                            for (fi, &xv) in nx.value.row(d).iter().enumerate() {
-                                nq.grad.set(fi, 0, nq.grad.get(fi, 0) + gsum * xv);
-                            }
-                        }
-                    }
-                }
-                Op::CsrSegmentSoftmax { logits, row_ptr } => {
-                    // Same rule as SegmentSoftmax — dL/dl = alpha ⊙ (g -
-                    // sum_seg(g ⊙ alpha)) — but segments are contiguous row
-                    // extents, so the per-segment dot needs no scratch.
-                    if !parents[*logits].requires_grad {
-                        continue;
-                    }
-                    let alpha = &node.value;
-                    let nl = &mut parents[*logits];
-                    ensure_grad(nl);
-                    for d in 0..row_ptr.len() - 1 {
-                        let (lo, hi) = (row_ptr[d], row_ptr[d + 1]);
-                        let mut dv = 0.0f32;
-                        for pos in lo..hi {
-                            dv += g.get(pos, 0) * alpha.get(pos, 0);
-                        }
-                        for pos in lo..hi {
-                            let delta = alpha.get(pos, 0) * (g.get(pos, 0) - dv);
-                            nl.grad.set(pos, 0, nl.grad.get(pos, 0) + delta);
-                        }
-                    }
-                }
                 Op::MseLoss { pred, target } => {
                     let gv = g.get(0, 0);
                     let n = target.len().max(1) as f32;
@@ -1861,135 +1595,7 @@ mod tests {
     }
 
     #[test]
-    fn spmm_csr_matches_edge_scale_scatter_bit_for_bit_and_gradients() {
-        let a0 = input(5, 3, 81);
-        let s_edge = input(6, 1, 82);
-        let base0 = input(5, 3, 83);
-        let src = vec![0usize, 1, 2, 2, 4, 0];
-        let dst = vec![1usize, 0, 1, 3, 2, 3];
-        let adj = Arc::new(SparseMatrix::from_edges(5, 5, &src, &dst));
-        let s_csr = Matrix::col_vector(&adj.permute_to_csr(s_edge.as_slice()));
-
-        // Stable-by-destination CSR order means the pull-mode product adds
-        // each output row's contributions in the push path's order — the
-        // results must agree bit for bit, not just within tolerance.
-        let mut t = Tape::new();
-        let va = t.leaf(a0.clone());
-        let vb = t.leaf(base0.clone());
-        let vs_push = t.leaf(s_edge.clone());
-        let push = t.edge_scale_scatter(
-            va,
-            vs_push,
-            Some(vb),
-            Some(Arc::from(&src[..])),
-            Arc::from(&dst[..]),
-            5,
-        );
-        let vb2 = t.leaf(base0.clone());
-        let vs_pull = t.leaf(s_csr.clone());
-        let pull = t.spmm_csr(va, vs_pull, Some(vb2), &adj);
-        assert!(t.value(push).approx_eq(t.value(pull), 0.0));
-
-        // Gradients for all three operands match finite differences.
-        let run = |a: &Matrix, s: &Matrix, b: &Matrix| -> (f32, Matrix, Matrix, Matrix) {
-            let mut t = Tape::new();
-            let va = t.leaf(a.clone());
-            let vs = t.leaf(s.clone());
-            let vb = t.leaf(b.clone());
-            let out = t.spmm_csr(va, vs, Some(vb), &adj);
-            let act = t.tanh(out);
-            let l = t.sum_all(act);
-            t.backward(l);
-            (t.value(l).get(0, 0), t.grad(va), t.grad(vs), t.grad(vb))
-        };
-        let (_, ga, gs, gb) = run(&a0, &s_csr, &base0);
-        check_gradient(&a0, &ga, |a| run(a, &s_csr, &base0).0, 2e-2);
-        check_gradient(&s_csr, &gs, |s| run(&a0, s, &base0).0, 2e-2);
-        check_gradient(&base0, &gb, |b| run(&a0, &s_csr, b).0, 2e-2);
-    }
-
-    #[test]
-    fn sddmm_edge_logits_matches_gather_chain_and_gradients() {
-        let x0 = input(5, 4, 91);
-        let p0 = input(4, 1, 92).scale(0.6);
-        let q0 = input(4, 1, 93).scale(0.6);
-        let src = vec![0usize, 1, 3, 2, 4, 4];
-        let dst = vec![2usize, 2, 0, 4, 1, 2];
-        let adj = Arc::new(SparseMatrix::from_edges(5, 5, &src, &dst));
-
-        // Fused logits equal the unfused project-then-gather chain on the
-        // same edges (in CSR order).
-        let csr_edges = adj.to_edge_list();
-        let csr_src: Vec<usize> = csr_edges.iter().map(|&(s, _)| s).collect();
-        let csr_dst: Vec<usize> = csr_edges.iter().map(|&(_, d)| d).collect();
-        let mut t = Tape::new();
-        let vx = t.leaf(x0.clone());
-        let vp = t.leaf(p0.clone());
-        let vq = t.leaf(q0.clone());
-        let fused = t.sddmm_edge_logits(vx, vp, vq, &adj);
-        let node_src = t.matmul(vx, vp);
-        let node_dst = t.matmul(vx, vq);
-        let e_src = t.gather_rows(node_src, &csr_src);
-        let e_dst = t.gather_rows(node_dst, &csr_dst);
-        let unfused = t.add(e_src, e_dst);
-        assert!(
-            t.value(fused).approx_eq(t.value(unfused), 1e-6),
-            "fused sddmm diverged from the gather chain by {}",
-            t.value(fused).max_abs_diff(t.value(unfused))
-        );
-
-        let run = |x: &Matrix, p: &Matrix, q: &Matrix| -> (f32, Matrix, Matrix, Matrix) {
-            let mut t = Tape::new();
-            let vx = t.leaf(x.clone());
-            let vp = t.leaf(p.clone());
-            let vq = t.leaf(q.clone());
-            let out = t.sddmm_edge_logits(vx, vp, vq, &adj);
-            let act = t.tanh(out);
-            let l = t.sum_all(act);
-            t.backward(l);
-            (t.value(l).get(0, 0), t.grad(vx), t.grad(vp), t.grad(vq))
-        };
-        let (_, gx, gp, gq) = run(&x0, &p0, &q0);
-        check_gradient(&x0, &gx, |x| run(x, &p0, &q0).0, 2e-2);
-        check_gradient(&p0, &gp, |p| run(&x0, p, &q0).0, 2e-2);
-        check_gradient(&q0, &gq, |q| run(&x0, &p0, q).0, 2e-2);
-    }
-
-    #[test]
-    fn csr_segment_softmax_matches_segment_softmax_and_gradients() {
-        let src = vec![0usize, 1, 2, 3, 4, 0, 1];
-        let dst = vec![1usize, 1, 0, 4, 1, 4, 0];
-        let adj = Arc::new(SparseMatrix::from_edges(5, 5, &src, &dst));
-        let priors_edge = vec![1.0f32, 2.0, 0.5, 1.5, 4.0, 1.0, 0.25];
-        let priors_csr = adj.permute_to_csr(&priors_edge);
-        let logits0 = input(7, 1, 94);
-        let logits_csr = Matrix::col_vector(&adj.permute_to_csr(logits0.as_slice()));
-
-        // CSR-extent softmax equals the segment-id softmax on the same
-        // groups (segment id = destination, in CSR order).
-        let csr_dst: Vec<usize> = adj.to_edge_list().iter().map(|&(_, d)| d).collect();
-        let mut t = Tape::new();
-        let vl = t.leaf(logits_csr.clone());
-        let by_extent = t.csr_segment_softmax(vl, adj.row_ptr(), &priors_csr);
-        let by_segment = t.segment_softmax(vl, &csr_dst, &priors_csr);
-        assert!(t.value(by_extent).approx_eq(t.value(by_segment), 1e-7));
-
-        let run = |l: &Matrix| -> (f32, Matrix) {
-            let mut t = Tape::new();
-            let vl = t.leaf(l.clone());
-            let alpha = t.csr_segment_softmax(vl, adj.row_ptr(), &priors_csr);
-            let act = t.tanh(alpha);
-            let s = t.sum_all(act);
-            let loss = t.mse_loss(s, &[0.3]);
-            t.backward(loss);
-            (t.value(loss).get(0, 0), t.grad(vl))
-        };
-        let (_, gl) = run(&logits_csr);
-        check_gradient(&logits_csr, &gl, |l| run(l).0, 2e-2);
-    }
-
-    #[test]
-    fn spmm_csr_zero_in_edge_rows_are_zero_after_reset() {
+    fn edge_scale_scatter_zero_in_edge_rows_are_zero_after_reset() {
         // Iteration 1 fills every output row with large values; after a
         // reset, iteration 2 reuses the same slot buffers for a graph where
         // node 2 has no incoming edges. Its aggregation row must be zero
@@ -1997,21 +1603,21 @@ mod tests {
         let mut t = Tape::new();
         let x = Matrix::filled(4, 3, 100.0);
         let ones = Matrix::filled(4, 1, 1.0);
-
-        let dense = Arc::new(SparseMatrix::from_edges(4, 4, &[0, 1, 2, 3], &[1, 2, 3, 0]));
         let va = t.leaf_copy(&x);
         let vs = t.leaf_copy(&ones);
-        let out = t.spmm_csr(va, vs, None, &dense);
+        let src: Arc<[usize]> = Arc::from(vec![0, 1, 2, 3]);
+        let out = t.edge_scale_scatter(va, vs, None, Some(src), Arc::from(vec![1, 2, 3, 0]), 4);
         assert!(t.value(out).row(2).iter().all(|&v| v == 100.0));
 
-        t.reset();
         // Node 2 is isolated now (zero in-edges); nodes 0, 1, 3 still get one.
-        let sparse = Arc::new(SparseMatrix::from_edges(4, 4, &[1, 2, 0], &[0, 1, 3]));
+        let src: Arc<[usize]> = Arc::from(vec![1, 2, 0]);
+        let dst: Arc<[usize]> = Arc::from(vec![0, 1, 3]);
         let small = Matrix::filled(4, 3, 0.5);
         let scale3 = Matrix::filled(3, 1, 1.0);
+        t.reset();
         let va = t.leaf_copy(&small);
         let vs = t.leaf_copy(&scale3);
-        let out = t.spmm_csr(va, vs, None, &sparse);
+        let out = t.edge_scale_scatter(va, vs, None, Some(Arc::clone(&src)), Arc::clone(&dst), 4);
         assert_eq!(t.value(out).row(2), &[0.0, 0.0, 0.0]);
         assert_eq!(t.value(out).row(0), &[0.5, 0.5, 0.5]);
 
@@ -2022,7 +1628,7 @@ mod tests {
         let va = t.leaf_copy(&small);
         let vs = t.leaf_copy(&scale3);
         let vb = t.leaf_copy(&base);
-        let out = t.spmm_csr(va, vs, Some(vb), &sparse);
+        let out = t.edge_scale_scatter(va, vs, Some(vb), Some(src), dst, 4);
         assert_eq!(t.value(out).row(2), base.row(2));
     }
 

@@ -26,13 +26,11 @@ pub mod init;
 pub mod matrix;
 pub mod metrics;
 pub mod scaler;
-pub mod sparse;
 
 pub use adam::{Adam, AdamConfig};
 pub use autograd::{Tape, Var};
 pub use matrix::Matrix;
 pub use scaler::{MinMaxScaler, TargetTransform};
-pub use sparse::SparseMatrix;
 
 #[cfg(test)]
 mod integration_tests {

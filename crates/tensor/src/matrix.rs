@@ -22,9 +22,11 @@ pub struct Matrix {
 /// overhead dominates.
 const PAR_MATMUL_THRESHOLD: usize = 64 * 64 * 64;
 
-/// Below this many multiply-accumulates the simple accumulating `ikj` kernel
-/// wins: packing `B` transposed costs `k * n` extra reads/writes that tiny
-/// products never amortise.
+/// Below this many multiply-accumulates the backward `A * B^T` kernels stay
+/// on dot products over the already-contiguous rows: transposing `B` for
+/// the tiled kernel costs `k * n` extra reads/writes that tiny products
+/// never amortise. (The forward kernel choice ignores the row count; see
+/// [`Matrix::matmul_into`].)
 const PACK_MATMUL_THRESHOLD: usize = 24 * 24 * 24;
 
 /// Narrow-output cutoff: products with fewer than this many output columns
@@ -313,9 +315,9 @@ impl Matrix {
 
     /// Matrix product `self * other`.
     ///
-    /// Small products run an accumulating `ikj` kernel; larger ones pack
-    /// `other` transposed once and compute cache-blocked dot products
-    /// (see [`Matrix::matmul_into`]). Parallelised over output rows when the
+    /// Narrow products pack `other` transposed once and compute dot
+    /// products; wider ones run a register-tiled `ikj` kernel (see
+    /// [`Matrix::matmul_into`]). Parallelised over output rows when the
     /// problem is large enough to amortise the rayon dispatch.
     ///
     /// # Panics
@@ -330,9 +332,10 @@ impl Matrix {
     /// reusing its buffer — the allocation-free sibling of
     /// [`Matrix::matmul`] for arena-style callers like the autograd tape).
     ///
-    /// Kernel selection:
+    /// Kernel selection depends on the output width `n` alone, never on the
+    /// row count, so a row's value is the same bits whether it is computed
+    /// alone or inside a larger batch (coalesced serving relies on this):
     ///
-    /// * tiny products run the plain accumulating `ikj` loop;
     /// * narrow outputs (`n <` [`MATMUL_NARROW_N`], e.g. attention-score
     ///   `* x 1` products) pack `other` transposed once so the inner loop is
     ///   a dot product over two contiguous slices;
@@ -354,25 +357,7 @@ impl Matrix {
         let n = other.cols;
 
         let work = m * k * n;
-        if work < PACK_MATMUL_THRESHOLD {
-            // ikj loop order keeps the innermost loop contiguous in both
-            // `other` and the output row. Accumulating kernel: needs zeros.
-            out.reset_to_zeros(m, n);
-            for (row_out, row_a) in out.data.chunks_mut(n).zip(self.data.chunks(k)) {
-                for (kk, &a) in row_a.iter().enumerate() {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let b_row = &other.data[kk * n..(kk + 1) * n];
-                    for (o, &b) in row_out.iter_mut().zip(b_row.iter()) {
-                        *o += a * b;
-                    }
-                }
-            }
-            return;
-        }
-
-        // Both remaining kernels overwrite every output element.
+        // Both kernels overwrite every output element.
         out.resize_for_overwrite(m, n);
         if n < MATMUL_NARROW_N {
             let bt = other.transpose();
@@ -1021,6 +1006,22 @@ mod tests {
             }
         }
         assert!(c.approx_eq(&reference, 1e-3));
+    }
+
+    #[test]
+    fn matmul_rows_do_not_depend_on_the_row_count() {
+        // Each row of a tall product must be bit-equal to the same row
+        // multiplied alone, for narrow (dot kernel) and wide (tiled kernel)
+        // outputs, from one row up past the parallel threshold.
+        for (k, n) in [(24, 1), (40, 3), (24, 8), (63, 24), (96, 32)] {
+            let b = Matrix::from_fn(k, n, |r, c| ((r * 7 + c * 3) as f32).sin() * 0.3);
+            let a = Matrix::from_fn(400, k, |r, c| ((r * 13 + c) as f32).cos() + 0.1);
+            let tall = a.matmul(&b);
+            for r in [0, 1, 199, 399] {
+                let alone = Matrix::row_vector(a.row(r)).matmul(&b);
+                assert_eq!(alone.row(0), tall.row(r), "k={k} n={n} row {r}");
+            }
+        }
     }
 
     #[test]

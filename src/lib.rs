@@ -73,58 +73,33 @@ pub use pg_tune as tune;
 /// Dense matrices, reverse-mode autodiff, Adam, scalers, metrics.
 pub use pg_tensor as tensor;
 
-/// Predict the runtime (in milliseconds) of every applicable variant of a
-/// kernel on a platform using the accelerator simulator, and return them
-/// sorted fastest-first.
-///
-/// This is a thin compatibility shim over [`engine::Engine`] with the
-/// simulator backend; it produces byte-identical results to the original
-/// free-function implementation. The candidates are instantiated from the
-/// template argument itself (not re-resolved from the catalogue), so custom
-/// or modified templates rank exactly as they used to. New code should
-/// build an `Engine` (which adds backend choice, launch sweeps, caching and
-/// report provenance) and call [`engine::Engine::advise`] — or
-/// [`engine::Engine::predict_instances`] for hand-built candidates.
-#[deprecated(
-    since = "0.2.0",
-    note = "use paragraph::engine::Engine::builder() ... .advise(&AdviseRequest::catalog(..)) instead"
-)]
-pub fn rank_variants_by_simulation(
-    kernel: &kernels::KernelTemplate,
-    sizes: &std::collections::HashMap<String, i64>,
-    platform: perfsim::Platform,
-    launch: advisor::LaunchConfig,
-) -> Vec<(advisor::Variant, f64)> {
-    let eng = engine::Engine::builder()
-        .platform(platform)
-        .backend(engine::SimulatorBackend::noise_free())
-        .build();
-    let instances: Vec<advisor::KernelInstance> = advisor::Variant::applicable_variants(kernel)
-        .into_iter()
-        .filter(|v| v.is_gpu() == platform.is_gpu())
-        .map(|variant| advisor::instantiate(kernel, variant, sizes, launch))
-        .collect();
-    let mut ranked: Vec<(advisor::Variant, f64)> = eng
-        .predict_instances(&instances)
-        .into_iter()
-        .zip(&instances)
-        .filter_map(|(prediction, instance)| prediction.ok().map(|ms| (instance.variant, ms)))
-        .collect();
-    ranked.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-    ranked
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use engine::{AdviseRequest, Engine, SimulatorBackend};
+
+    /// Rank a catalogue kernel at one launch configuration with the
+    /// noise-free simulator backend.
+    fn rank(
+        kernel: &str,
+        platform: perfsim::Platform,
+        launch: advisor::LaunchConfig,
+    ) -> Vec<engine::VariantPrediction> {
+        let engine = Engine::builder()
+            .platform(platform)
+            .backend(SimulatorBackend::noise_free())
+            .build();
+        let report = engine
+            .advise(&AdviseRequest::catalog(kernel).with_launch(launch))
+            .unwrap();
+        assert!(report.failures.is_empty());
+        report.rankings
+    }
 
     #[test]
     fn rank_variants_produces_sorted_gpu_candidates() {
-        let mm = kernels::find_kernel("MM/matmul").unwrap();
-        let ranked = rank_variants_by_simulation(
-            &mm,
-            &mm.default_sizes(),
+        let ranked = rank(
+            "MM/matmul",
             perfsim::Platform::SummitV100,
             advisor::LaunchConfig {
                 teams: 80,
@@ -136,16 +111,16 @@ mod tests {
             4,
             "four GPU variants for a collapsible kernel"
         );
-        assert!(ranked.windows(2).all(|w| w[0].1 <= w[1].1));
-        assert!(ranked.iter().all(|(v, _)| v.is_gpu()));
+        assert!(ranked
+            .windows(2)
+            .all(|w| w[0].predicted_ms <= w[1].predicted_ms));
+        assert!(ranked.iter().all(|r| r.variant.unwrap().is_gpu()));
     }
 
     #[test]
     fn rank_variants_cpu_platform_uses_cpu_variants() {
-        let mv = kernels::find_kernel("MV/matvec").unwrap();
-        let ranked = rank_variants_by_simulation(
-            &mv,
-            &mv.default_sizes(),
+        let ranked = rank(
+            "MV/matvec",
             perfsim::Platform::CoronaEpyc7401,
             advisor::LaunchConfig {
                 teams: 1,
@@ -157,6 +132,6 @@ mod tests {
             1,
             "matvec is not collapsible: only the plain cpu variant"
         );
-        assert!(!ranked[0].0.is_gpu());
+        assert!(!ranked[0].variant.unwrap().is_gpu());
     }
 }

@@ -1,9 +1,9 @@
 //! Integration tests of the unified prediction engine: all three backends
-//! serve the same request shape, the simulator backend reproduces the legacy
-//! `rank_variants_by_simulation` output exactly, and repeated requests hit
-//! the frontend cache.
+//! serve the same request shape, the simulator backend reproduces the
+//! pre-engine ranking function exactly, and repeated requests hit the
+//! frontend cache.
 
-use paragraph::advisor::LaunchConfig;
+use paragraph::advisor::{KernelInstance, LaunchConfig, Variant};
 use paragraph::compoff;
 use paragraph::compoff::CompoffBackend;
 use paragraph::dataset::{collect_platform, DatasetScale, PipelineConfig};
@@ -90,12 +90,15 @@ fn all_three_backends_rank_the_same_kernel() {
     assert_eq!(backends_seen, vec!["simulator", "gnn", "compoff"]);
 }
 
-/// The engine-backed `rank_variants_by_simulation` shim reproduces the
-/// legacy free-function output exactly — same variants, same order, same
-/// floating-point runtimes.
+/// The noise-free simulator backend reproduces the pre-engine ranking
+/// function exactly — same variants, same order, same floating-point
+/// runtimes.
 #[test]
-#[allow(deprecated)]
 fn simulator_backend_matches_legacy_ranking_exactly() {
+    let engine = Engine::builder()
+        .platform(PLATFORM)
+        .backend(SimulatorBackend::noise_free())
+        .build();
     for kernel_name in ["MM/matmul", "MV/matvec", "Laplace/copy"] {
         let kernel = find_kernel(kernel_name).unwrap();
         let sizes = kernel.default_sizes();
@@ -103,24 +106,30 @@ fn simulator_backend_matches_legacy_ranking_exactly() {
         // The legacy implementation, reproduced inline from the pre-engine
         // umbrella crate (this is the byte-for-byte behaviour contract).
         let noise = paragraph::perfsim::NoiseModel::disabled();
-        let mut legacy: Vec<(paragraph::advisor::Variant, f64)> =
-            paragraph::advisor::Variant::applicable_variants(&kernel)
-                .into_iter()
-                .filter(|v| v.is_gpu() == PLATFORM.is_gpu())
-                .filter_map(|variant| {
-                    let instance =
-                        paragraph::advisor::instantiate(&kernel, variant, &sizes, LAUNCH);
-                    paragraph::perfsim::measure(&instance, PLATFORM, &noise)
-                        .ok()
-                        .map(|m| (variant, m.runtime_ms))
-                })
-                .collect();
+        let mut legacy: Vec<(Variant, f64)> = Variant::applicable_variants(&kernel)
+            .into_iter()
+            .filter(|v| v.is_gpu() == PLATFORM.is_gpu())
+            .filter_map(|variant| {
+                let instance = paragraph::advisor::instantiate(&kernel, variant, &sizes, LAUNCH);
+                paragraph::perfsim::measure(&instance, PLATFORM, &noise)
+                    .ok()
+                    .map(|m| (variant, m.runtime_ms))
+            })
+            .collect();
         legacy.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
 
-        let shimmed = paragraph::rank_variants_by_simulation(&kernel, &sizes, PLATFORM, LAUNCH);
+        let report = engine
+            .advise(&AdviseRequest::catalog(kernel_name).with_launch(LAUNCH))
+            .unwrap();
+        assert!(report.failures.is_empty());
+        let advised: Vec<(Variant, f64)> = report
+            .rankings
+            .iter()
+            .map(|r| (r.variant.unwrap(), r.predicted_ms))
+            .collect();
         assert_eq!(
-            legacy, shimmed,
-            "{kernel_name}: engine-backed shim must reproduce the legacy ranking bit-for-bit"
+            legacy, advised,
+            "{kernel_name}: the engine must reproduce the legacy ranking bit-for-bit"
         );
     }
 }
@@ -214,30 +223,37 @@ fn mismatched_backend_platform_is_refused() {
     );
 }
 
-/// The deprecated shim honours the template it is handed — including
-/// templates that are not in the catalogue — because candidates are
-/// instantiated from the argument, not re-resolved by name.
+/// Hand-built candidates rank through `Engine::predict_instances` even
+/// when their template is not in the catalogue: nothing is re-resolved by
+/// name.
 #[test]
-#[allow(deprecated)]
-fn legacy_shim_ranks_custom_templates() {
+fn predict_instances_ranks_custom_templates() {
     let base = find_kernel("MV/matvec").unwrap();
     let custom = paragraph::kernels::KernelTemplate {
         application: "Custom",
         kernel: "not_in_catalog",
         ..base
     };
-    let ranked =
-        paragraph::rank_variants_by_simulation(&custom, &custom.default_sizes(), PLATFORM, LAUNCH);
+    let sizes = custom.default_sizes();
+    let instances: Vec<KernelInstance> = Variant::applicable_variants(&custom)
+        .into_iter()
+        .filter(|v| v.is_gpu() == PLATFORM.is_gpu())
+        .map(|variant| paragraph::advisor::instantiate(&custom, variant, &sizes, LAUNCH))
+        .collect();
     assert!(
-        !ranked.is_empty(),
-        "a custom template must rank through the shim, not vanish"
+        !instances.is_empty(),
+        "a custom template must yield candidates"
     );
-    // And the numbers match measuring the custom template directly.
+    let engine = Engine::builder()
+        .platform(PLATFORM)
+        .backend(SimulatorBackend::noise_free())
+        .build();
+    let predictions = engine.predict_instances(&instances);
+    assert_eq!(predictions.len(), instances.len());
+    // The numbers match measuring the custom template directly.
     let noise = paragraph::perfsim::NoiseModel::disabled();
-    for (variant, predicted_ms) in &ranked {
-        let instance =
-            paragraph::advisor::instantiate(&custom, *variant, &custom.default_sizes(), LAUNCH);
-        let measured = paragraph::perfsim::measure(&instance, PLATFORM, &noise).unwrap();
-        assert_eq!(*predicted_ms, measured.runtime_ms);
+    for (instance, predicted_ms) in instances.iter().zip(predictions) {
+        let measured = paragraph::perfsim::measure(instance, PLATFORM, &noise).unwrap();
+        assert_eq!(predicted_ms.unwrap(), measured.runtime_ms);
     }
 }
